@@ -1,8 +1,9 @@
 // Regenerates the paper's worked example (Figure 1 + Table 2): an 18-node
 // weighted tree, its fragment hierarchy H_M, and the per-node strings
 // Roots / EndP / Parents / Or-EndP. The instance is our fixed analogue of
-// the (partially recoverable) hand-drawn example — see DESIGN.md §3.5;
-// legality of the printed strings is machine-checked by the test-suite.
+// the (partially recoverable) hand-drawn example — see figure1_example in
+// graph/generators.hpp; legality of the printed strings is machine-checked
+// by the test-suite.
 
 #include <cstdio>
 #include <string>

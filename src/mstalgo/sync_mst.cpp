@@ -33,6 +33,21 @@ SyncMstProtocol::PhaseView SyncMstProtocol::phase_of(std::uint64_t round) {
   return pv;
 }
 
+std::optional<std::uint64_t> SyncMstProtocol::next_wake(
+    std::uint64_t time) const {
+  const PhaseView pv = phase_of(time);
+  if (pv.phase < 0) return 11;
+  const std::uint64_t b = pv.base;
+  const std::uint64_t start = time - pv.offset;
+  // Window starts after offset 0, ascending (see the phase windows in step).
+  const std::uint64_t starts[] = {1,     4 * b,  6 * b,     6 * b + 1,
+                                  8 * b, 10 * b, 10 * b + 1};
+  for (const std::uint64_t off : starts) {
+    if (off > pv.offset) return start + off;
+  }
+  return start + 11 * b;  // offset 0 of the next phase
+}
+
 std::vector<SyncMstState> SyncMstProtocol::initial_states() const {
   std::vector<SyncMstState> init(g_->n());
   for (NodeId v = 0; v < g_->n(); ++v) {
@@ -311,20 +326,16 @@ SyncMstRun run_sync_mst(const WeightedGraph& g) {
   SyncMstProtocol proto(g);
   Simulation<SyncMstState> sim(g, proto, proto.initial_states());
   const std::uint64_t max_rounds = 44ULL * g.n() + 64;
-  bool all_done = false;
-  while (!all_done) {
+  // `done` is sticky, so the first not-done node only moves forward: the
+  // termination test costs O(n) over the whole run, not per round.
+  NodeId first_busy = 0;
+  do {
     if (sim.time() > max_rounds) {
       throw std::logic_error("SYNC_MST exceeded its O(n) schedule");
     }
     sim.sync_round();
-    all_done = true;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (!sim.cstate(v).done) {
-        all_done = false;
-        break;
-      }
-    }
-  }
+    while (first_busy < g.n() && sim.cstate(first_busy).done) ++first_busy;
+  } while (first_busy < g.n());
   // Extract the tree.
   NodeId root = kNoNode;
   std::vector<NodeId> parent(g.n(), kNoNode);

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -72,6 +73,14 @@ class SyncMstProtocol final : public Protocol<SyncMstState> {
             const NeighborReader<SyncMstState>& nbr,
             std::uint64_t time) override;
   std::size_t state_bits(const SyncMstState& s, NodeId v) const override;
+
+  /// The phase clock (Protocol::next_wake): step reads `time` only through
+  /// phase_of's (phase, window) — before round 11, then the windows that
+  /// start at phase offsets 0, 1, 4b, 6b, 6b+1, 8b, 10b and 10b+1 of each
+  /// phase (b = 2^phase). Returns the next window start, which puts
+  /// SYNC_MST on the engine's sparse synchronous rounds (it never alarms,
+  /// as opting in requires).
+  std::optional<std::uint64_t> next_wake(std::uint64_t time) const override;
 
   /// Randomized type-valid corruption of the whole register: ports in
   /// [0, deg) or kNoPort, ids/weights/phases in their model ranges, flags

@@ -66,7 +66,7 @@ struct TransformerOptions {
 /// bench reports. Phase hand-off signalling (alarm -> reset seeds ->
 /// restart) is orchestrated by this harness; a fully inlined hand-off adds
 /// O(diam) per phase, which the reset measurement already dominates
-/// (DESIGN.md section 3).
+/// (StabilizationReport::reset_time).
 class SelfStabilizingMst {
  public:
   SelfStabilizingMst(const WeightedGraph& g, TransformerOptions opt);

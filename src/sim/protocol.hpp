@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -87,9 +88,8 @@ class NeighborReader {
 ///    caches must make those caches per-node.
 ///
 /// Register layout contract (the striped-arena register file): a `State`
-/// is one contiguous, trivially-copyable block — by-value scalars, small
-/// fixed-capacity inline vectors (util/inline_vec.hpp), and for
-/// variable-length payload *stripe views*: (offset, length) headers into a
+/// is one contiguous, trivially-copyable block — by-value scalars and, for
+/// variable-length payload, *stripe views*: (offset, length) headers into a
 /// per-simulation LabelArena sized to the live content (labels/arena.hpp),
 /// never heap containers. Copying a register is still a single flat
 /// memcpy, but the memcpy transfers the header only — every copy of one
@@ -198,14 +198,21 @@ class Protocol {
   /// step wrote, not what a step at a *later* time would write, so the
   /// compare-based defaults under-approximate for protocols whose step
   /// gates writes on the `time` argument (the non-self-stabilizing
-  /// construction algorithms: SYNC_MST phase windows, GHS). Such protocols
-  /// must not be driven by the queue daemon directly: run them under the
-  /// synchronizer wrapper (whose pulse, not global time, is the clock —
-  /// its step_changed is exact) as the transformer does, under
-  /// set_full_sweep(true), or override step_changed to return true while
-  /// the clock can still enable a future write. Self-stabilizing
-  /// protocols are unaffected: the model already forbids them from
-  /// relying on `time`.
+  /// construction algorithms: SYNC_MST phase windows, GHS).
+  ///  * The queue daemon (async_unit) never re-steps a node for the clock
+  ///    alone, so keep such protocols off it: run them under the
+  ///    synchronizer wrapper (whose pulse, not global time, is the clock —
+  ///    its step_changed is exact) as the transformer's async rebuild
+  ///    does, under set_full_sweep(true), or override step_changed to
+  ///    return true while the clock can still enable a future write.
+  ///  * Sparse synchronous rounds make the compare exact across time for
+  ///    a protocol that declares its clock through next_wake (below):
+  ///    every node is stepped in each declared wake round, and between
+  ///    wakes only the closed neighbourhoods of the registers the previous
+  ///    round changed — SYNC_MST runs this way. Declaring next_wake does
+  ///    not change async_unit.
+  /// Self-stabilizing protocols are unaffected: the model already forbids
+  /// them from relying on `time`.
   virtual bool step_changed(NodeId v, State& self,
                             const NeighborReader<State>& nbr,
                             std::uint64_t time) {
@@ -229,6 +236,31 @@ class Protocol {
     }
   }
 
+  /// The protocol's declared clock: the smallest round t' > `time` at
+  /// which `step` may behave differently than at t' - 1 on identical
+  /// inputs (the next boundary of whatever windows `step` reads `time`
+  /// through). Declaring it opts the protocol into sparse synchronous
+  /// rounds (the Simulation class comment): a round steps every node only
+  /// at a declared wake round or after a re-enable rule, and otherwise
+  /// only the closed neighbourhoods of the registers the previous round
+  /// changed, judged by step_changed. That is exact, not approximate: an
+  /// unstepped node would re-run its last step on the same inputs in the
+  /// same window, which changed nothing. `activations` still grows by n
+  /// per round (model node-steps, not executed ones). The engine queries
+  /// this once at construction to decide whether the protocol opts in,
+  /// then once per wake round.
+  ///
+  /// Opt in only if alarmed() is always false: unstepped nodes are not
+  /// re-recorded, so alarm stamps after reset_alarm_history would differ
+  /// from the dense path (SYNC_MST never alarms). Default std::nullopt:
+  /// undeclared — every sync round steps all n nodes (the verifier, KKP,
+  /// Reset and the synchronizer keep it; their steps tick or do not read
+  /// `time`).
+  virtual std::optional<std::uint64_t> next_wake(
+      std::uint64_t /*time*/) const {
+    return std::nullopt;
+  }
+
   /// Takes ownership of a freshly installed register file on behalf of one
   /// Simulation. Protocols whose registers hold stripe views into shared
   /// storage (the striped-arena label layout) override this to rebind
@@ -243,7 +275,9 @@ class Protocol {
     return nullptr;
   }
 
-  /// Semantic size of the state in bits (see DESIGN.md section 1).
+  /// Semantic size of the state in bits: the paper's memory measure, as
+  /// opposed to the physical footprint (state_phys_bytes below and the
+  /// register layout contract in this class comment).
   virtual std::size_t state_bits(const State& s, NodeId v) const = 0;
 
   /// Physical size of one register in bytes: the trivially-copyable block

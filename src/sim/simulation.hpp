@@ -49,8 +49,10 @@ struct SimulationStats {
   std::uint64_t rounds = 0;       ///< synchronous rounds executed
   std::uint64_t units = 0;        ///< asynchronous units executed
   /// Daemon schedulings: nodes handed an activation. Synchronous rounds add
-  /// n; queue-driven asynchronous units add only the drained enabled set
-  /// (the legacy full-sweep daemon adds n per unit).
+  /// n — sparse rounds too, since they count model node-steps, not the
+  /// steps the engine executes; queue-driven asynchronous units add only
+  /// the drained enabled set (the legacy full-sweep daemon adds n per
+  /// unit).
   std::uint64_t activations = 0;
   /// Activations whose step actually changed the register. Tracked only by
   /// queue-driven asynchronous units (where the change test already runs
@@ -176,9 +178,11 @@ struct AuditReport {
 ///    all of its neighbours are enabled for the *next* unit (they read it);
 ///  * `state(v)` (non-const) enables v's closed neighbourhood — the
 ///    targeted hook fault injection uses (see sim/faults.hpp);
-///  * `states()` (non-const, whole file) and every completed `sync_round`
-///    conservatively re-enable all nodes, mirroring the back-buffer
-///    coherence demotion: the engine cannot know what changed;
+///  * `states()` (non-const, whole file) and every completed dense
+///    `sync_round` conservatively re-enable all nodes, mirroring the
+///    back-buffer coherence demotion: the engine cannot know what changed
+///    (a sparse round does know, and leaves exactly its changed closed
+///    neighbourhoods enabled);
 ///  * a node whose activation provably changed nothing (Protocol::
 ///    step_changed) leaves the queue until one of the rules above re-adds
 ///    it;
@@ -208,6 +212,32 @@ struct AuditReport {
 /// stamp, the resulting registers *and* the full SimulationStats are
 /// bit-identical to the serial sweep at any thread count. Protocols driven
 /// this way must honour the thread-safety contract in protocol.hpp.
+///
+/// Sparse synchronous rounds: a protocol that declares its clock
+/// (Protocol::next_wake returns a value; cached at construction) is driven
+/// by a lock-step drain of the same activation queue and dirty bitmap
+/// instead of the dense sweep:
+///  * every node is stepped in a wake round (the round the last
+///    next_wake answer named, or any later one) and after a re-enable rule
+///    above: construction and `states()` enable everyone, `state(v)` and
+///    `mutate_registers` the touched closed neighbourhoods, the watchdog
+///    reseed everyone;
+///  * otherwise only the closed neighbourhoods of the registers the
+///    previous round changed are stepped;
+///  * each drained node is stepped into the back buffer from the round-t
+///    front buffer (Protocol::step_changed on a seed copy, so the round
+///    stays lock-step); only changed registers are copied back, and their
+///    closed neighbourhoods are enqueued for round t+1;
+///  * an idle round (nothing enabled, no wake) costs O(1).
+/// The result is exact: an unstepped node would re-run its last step on
+/// identical inputs in the same clock window, which changed nothing. So
+/// registers, time, rounds, peak_bits and activations (still n per round:
+/// model node-steps) equal the dense path's — pinned against a dense
+/// reference in tests/test_parallel_sim.cpp at 1 and 4 threads. Alarms are
+/// recorded only for stepped nodes, which is why opting in is reserved
+/// for protocols whose alarmed() is always false. A sparse round steps
+/// serially even with a pool attached (the pool still shards the
+/// activation queue): outside wake rounds its drains are a few nodes.
 ///
 /// Sharded asynchronous drains (the parallel async engine): with a pool
 /// attached, `async_unit` also shards the *queue machinery* — the dirty
@@ -315,6 +345,7 @@ class Simulation {
       : g_(&g),
         proto_(&proto),
         rewrites_register_(proto.rewrites_register()),
+        sparse_sync_(proto.next_wake(0).has_value()),
         regs_(std::move(init)),
         scratch_(regs_.size()),
         alarm_time_(g.n(), kNever),
@@ -455,9 +486,14 @@ class Simulation {
   /// can skip re-writing step-invariant state entirely. The first round,
   /// and the first round after any external mutation, fall back to the
   /// unconditional step_into rewrite. Results are bit-identical across
-  /// all three paths.
+  /// all three paths. A protocol that declares its clock (next_wake)
+  /// takes the sparse path instead (class comment).
   SSMST_HOT_PATH void sync_round() {
     watchdog_poll();
+    if (sparse_sync_) {
+      sync_round_sparse();
+      return;
+    }
     const NodeId n = g_->n();
     const std::uint64_t stamp = stats_.time + 1;
     const bool coherent = back_coherent_;
@@ -1275,6 +1311,46 @@ class Simulation {
     return drain_gen_ctr_;
   }
 
+  /// The sparse lock-step round behind sync_round for protocols that
+  /// declare their clock (class comment). Kept out of line so the dense
+  /// sweep pays only the sparse_sync_ branch.
+  __attribute__((noinline)) void sync_round_sparse() {
+    const std::uint64_t stamp = stats_.time + 1;
+    if (stats_.time >= next_wake_) {
+      // The clock crossed a window boundary: any node may now step
+      // differently on unchanged inputs.
+      enable_all_pending_ = true;
+      const std::optional<std::uint64_t> w = proto_->next_wake(stats_.time);
+      next_wake_ = w ? *w : stamp;
+    }
+    take_enabled();
+    // Step every drained node from the round-t front buffer first,
+    // compacting the changed ones to the front of drain_...
+    SweepAcc acc;
+    std::size_t changed = 0;
+    for (NodeId v : drain_) {
+      scratch_[v] = regs_[v];
+      NeighborReader<State> nbr(*g_, regs_, v);
+      if (proto_->step_changed(v, scratch_[v], nbr, stats_.time)) {
+        drain_[changed++] = v;
+      }
+      record_state(v, scratch_[v], stamp, acc);
+    }
+    fold(acc, stamp);
+    // ...then commit only those and enable their closed neighbourhoods
+    // for round t+1.
+    drain_.resize(changed);
+    for (NodeId v : drain_) {
+      regs_[v] = scratch_[v];
+      mark_dirty(v);
+    }
+    // The back buffer now holds only the stepped nodes' registers.
+    set_coherence(false);
+    stats_.time = stamp;
+    ++stats_.rounds;
+    stats_.activations += g_->n();
+  }
+
   /// Steps nodes [lo, hi) of the current round into the back buffer and
   /// accumulates their accounting into `acc`. Reads only the front buffer
   /// (plus the disjoint alarm_time_ slots of its own range), so disjoint
@@ -1487,6 +1563,9 @@ class Simulation {
   const WeightedGraph* g_;
   Protocol<State>* proto_;
   bool rewrites_register_ = false;
+  /// The protocol declares its clock (Protocol::next_wake): sync_round
+  /// takes the sparse path. Fixed at construction.
+  bool sparse_sync_ = false;
   /// True while the back buffer provably holds each node's previous-round
   /// register: set after every completed sync round, cleared by any
   /// non-const register access, by async units that activate at least one
@@ -1577,6 +1656,11 @@ class Simulation {
   std::uint32_t watchdog_escalate_after_ = 3;
   std::uint32_t watchdog_strikes_ = 0;  ///< consecutive audit-failing trips
   bool watchdog_escalated_ = false;
+
+  /// Sparse sync rounds: the next declared wake round (0 until the first
+  /// round asks, so the first sparse round is a wake round). Last, so the
+  /// hot members keep their offsets.
+  std::uint64_t next_wake_ = 0;
 };
 
 }  // namespace ssmst
