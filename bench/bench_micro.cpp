@@ -91,38 +91,6 @@ class PulseProtocol final : public Protocol<PulseState> {
   }
 };
 
-/// Same computation, but through the double-buffered fast path: the whole
-/// next register is rewritten from the round-t snapshot, so the per-node
-/// seed copy of the default sync path is elided.
-struct ZcPulseState {
-  std::uint64_t pulse = 0;
-  std::uint64_t seen_max = 0;
-};
-SSMST_REGISTER_HEADER(ZcPulseState);
-
-class ZeroCopyPulseProtocol final : public Protocol<ZcPulseState> {
- public:
-  void step(NodeId v, ZcPulseState& self,
-            const NeighborReader<ZcPulseState>& nbr,
-            std::uint64_t time) override {
-    step_into(v, self, self, nbr, time);
-  }
-  void step_into(NodeId, const ZcPulseState& prev, ZcPulseState& next,
-                 const NeighborReader<ZcPulseState>& nbr,
-                 std::uint64_t) override {
-    std::uint64_t m = prev.pulse;
-    for (std::uint32_t p = 0; p < nbr.degree(); ++p) {
-      m = std::max(m, nbr.at_port(p).pulse);
-    }
-    next.seen_max = m;
-    next.pulse = m + 1;
-  }
-  bool rewrites_register() const override { return true; }
-  std::size_t state_bits(const ZcPulseState&, NodeId) const override {
-    return 128;
-  }
-};
-
 void BM_SimSyncRound(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
   PulseProtocol proto;
@@ -135,19 +103,6 @@ void BM_SimSyncRound(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimSyncRound)->Arg(1024);
-
-void BM_SimSyncRoundZeroCopy(benchmark::State& state) {
-  const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
-  ZeroCopyPulseProtocol proto;
-  Simulation<ZcPulseState> sim(g, proto, std::vector<ZcPulseState>(g.n()));
-  for (auto _ : state) {
-    sim.sync_round();
-  }
-  state.SetItemsProcessed(state.iterations() * g.n());
-  state.counters["rounds/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimSyncRoundZeroCopy)->Arg(1024);
 
 // Sharded sync rounds: the same engine sweep on a large graph, split into
 // contiguous CSR shards across a thread pool (bit-identical results; see

@@ -29,11 +29,10 @@
 ///    WeightedGraph::kHubDegree, and node_of_id() is O(log n). Build
 ///    graphs with the two-pass bulk WeightedGraph::from_edges().
 ///
-///  * Simulation<State> is double-buffered: sync_round() steps every node
-///    from the front register buffer into the back buffer in one fused
-///    sweep (accounting included) and swaps — no bulk register-file copy.
-///    Protocols that rewrite their whole register can override
-///    Protocol::step_into() to elide the per-node seed copy as well.
+///  * Simulation<State> is double-buffered: sync_round() seeds each
+///    node's back-buffer slot from the front register buffer, steps it in
+///    place in one fused sweep (accounting included) and swaps — no bulk
+///    register-file copy.
 ///
 ///  * SimulationStats (Simulation::stats()) is the single metrology
 ///    surface: time, rounds/units, activations, first-alarm time and

@@ -142,16 +142,12 @@ struct AuditReport {
   /// headers (e.g. label arena offsets/lengths out of bounds, live length
   /// under the install capacity).
   std::uint32_t register_violations = 0;
-  /// Coherence flag out of sync with its redundantly maintained shadow
-  /// (the flag is plain aux memory; a flipped bit falsely claiming
-  /// coherence would let step_into_coherent skip rewrites).
-  std::uint32_t coherence_violations = 0;
   std::vector<NodeId> suspects;  ///< implicated nodes, first kMaxSuspects
 
   std::uint64_t total_violations() const {
     return std::uint64_t{enabled_not_queued} + queued_not_enabled +
            duplicate_queue_entries + misplaced_queue_entries +
-           stamp_violations + register_violations + coherence_violations;
+           stamp_violations + register_violations;
   }
   bool ok() const { return total_violations() == 0; }
 };
@@ -179,10 +175,9 @@ struct AuditReport {
 ///  * `state(v)` (non-const) enables v's closed neighbourhood — the
 ///    targeted hook fault injection uses (see sim/faults.hpp);
 ///  * `states()` (non-const, whole file) and every completed dense
-///    `sync_round` conservatively re-enable all nodes, mirroring the
-///    back-buffer coherence demotion: the engine cannot know what changed
-///    (a sparse round does know, and leaves exactly its changed closed
-///    neighbourhoods enabled);
+///    `sync_round` conservatively re-enable all nodes: the engine cannot
+///    know what changed (a sparse round does know, and leaves exactly its
+///    changed closed neighbourhoods enabled);
 ///  * a node whose activation provably changed nothing (Protocol::
 ///    step_changed) leaves the queue until one of the rules above re-adds
 ///    it;
@@ -293,10 +288,10 @@ struct AuditReport {
 ///
 ///  * Fault surface. The aux_* methods model adversarial corruption of the
 ///    engine's bookkeeping: dirty-bit flips, pending-queue entry drops and
-///    duplicates (flat and per-shard layouts), staleness-stamp skew, a
-///    coherence-flag flip, and silent register writes that bypass the
-///    demotion/enabling bookkeeping entirely (sim/faults.hpp wraps these
-///    into deterministic seeded injectors). They deliberately break the
+///    duplicates (flat and per-shard layouts), staleness-stamp skew, and
+///    silent register writes that bypass the enabling bookkeeping
+///    entirely (sim/faults.hpp wraps these into deterministic seeded
+///    injectors). They deliberately break the
 ///    invariants normal mutations maintain; the engine must never crash or
 ///    scribble out of bounds under them (the ASan CI job), but its
 ///    *schedule* may silently go wrong — that is the failure mode the
@@ -305,20 +300,16 @@ struct AuditReport {
 ///    structured AuditReport: queue <-> bitmap consistency (enabled_[v]
 ///    iff exactly one queue entry), per-shard queue partition matching the
 ///    CSR shard boundaries, staleness stamps (and the full-drain floor)
-///    never ahead of the engine clock, per-register structural soundness
-///    via Protocol::audit_state (label arena offset/length bounds), and
-///    the coherence flag checked against a redundantly maintained shadow
-///    copy (single-bit aux corruption of the flag is detectable by
-///    redundancy; consistent corruption of both copies is outside any
-///    finite-redundancy detector's class). Audits are O(n + pending),
-///    allocate only their report, and count into SimulationStats::audits /
-///    audit_violations.
+///    never ahead of the engine clock, and per-register structural
+///    soundness via Protocol::audit_state (label arena offset/length
+///    bounds). Audits are O(n + pending), allocate only their report, and
+///    count into SimulationStats::audits / audit_violations.
 ///  * Bounded-staleness watchdog + repair. set_watchdog(budget) arms a
 ///    fairness floor: whenever `budget` time units elapse since the last
 ///    watchdog window, the engine audits and then applies the trivially
 ///    correct repair — the round-0 reseed (re-enable every node, reset all
-///    staleness stamps and the full-drain floor, demote coherence). The
-///    reseed is unconditional on expiry: under the total-state model a
+///    staleness stamps and the full-drain floor). The reseed is
+///    unconditional on expiry: under the total-state model a
 ///    clean audit cannot certify quiescence (a consistently dropped queue
 ///    entry — bit cleared AND entry removed — is invisible to any local
 ///    check), so the blanket re-enable is what restores the weakly fair
@@ -344,7 +335,6 @@ class Simulation {
              std::vector<State> init, ThreadPool* pool = nullptr)
       : g_(&g),
         proto_(&proto),
-        rewrites_register_(proto.rewrites_register()),
         sparse_sync_(proto.next_wake(0).has_value()),
         regs_(std::move(init)),
         scratch_(regs_.size()),
@@ -384,31 +374,29 @@ class Simulation {
   std::uint64_t time() const { return stats_.time; }
   const SimulationStats& stats() const { return stats_; }
   /// Mutable register access. Any non-const access may rewrite registers
-  /// behind the engine's back, so it demotes the next sync round from the
-  /// coherent zero-copy path to the full step_into path (see sync_round)
-  /// and conservatively re-enables every node for the next async unit.
-  /// Do NOT retain the returned reference across a sync_round: the
-  /// demotion covers only the next round, and a stale reference also
-  /// dangles across the buffer swap — re-fetch per mutation instead.
+  /// behind the engine's back, so it conservatively re-enables every node
+  /// for the next async unit (and the next sparse sync round). Do NOT
+  /// retain the returned reference across a sync_round: the re-enable
+  /// covers only writes made before the next round or unit, and a stale
+  /// reference also dangles across the buffer swap — re-fetch per
+  /// mutation instead.
   std::vector<State>& states() {
-    set_coherence(false);
     enable_all_pending_ = true;
     return regs_;
   }
   const std::vector<State>& states() const { return regs_; }
-  /// Single-register mutable access: demotes sync coherence like states(),
-  /// but enables only v's closed neighbourhood for the async queue — the
-  /// targeted hook for point mutations (fault injection, probes that write
-  /// one register). Read-only call sites should use cstate() instead.
+  /// Single-register mutable access: like states(), but enables only v's
+  /// closed neighbourhood for the async queue — the targeted hook for
+  /// point mutations (fault injection, probes that write one register).
+  /// Read-only call sites should use cstate() instead.
   State& state(NodeId v) {
-    set_coherence(false);
     mark_dirty(v);
     return regs_[v];
   }
-  /// Read-only register access that never demotes coherence or touches the
-  /// activation queue (the const state() overload is unreachable through a
-  /// non-const simulation reference, which silently made every probe loop
-  /// a full demotion — use this in probes).
+  /// Read-only register access that never touches the activation queue
+  /// (the const state() overload is unreachable through a non-const
+  /// simulation reference, which silently made every probe loop a full
+  /// re-enable — use this in probes).
   const State& cstate(NodeId v) const { return regs_[v]; }
 
   /// Enables node v and all of its neighbours for the next async unit.
@@ -437,12 +425,10 @@ class Simulation {
   /// Batch register mutation: applies fn(v, register&) to every listed
   /// node, then enables all their closed neighbourhoods in one pass — the
   /// many-fault analogue of per-node state(v) access (sim/faults.hpp's
-  /// span-taking inject_faults is the canonical caller). Demotes sync
-  /// back-buffer coherence exactly like state(v) does.
+  /// span-taking inject_faults is the canonical caller).
   template <typename Fn>
   void mutate_registers(std::span<const NodeId> nodes, Fn&& fn) {
     if (nodes.empty()) return;
-    set_coherence(false);
     for (NodeId v : nodes) fn(v, regs_[v]);
     mark_dirty(nodes);
   }
@@ -469,25 +455,13 @@ class Simulation {
   }
   bool full_sweep() const { return full_sweep_; }
 
-  /// True while the back buffer provably holds each node's previous-round
-  /// register (the coherent zero-copy gate; see sync_round). Exposed so
-  /// tests can pin the demote/re-establish cycle around async units.
-  bool back_buffer_coherent() const { return back_coherent_; }
-
-  /// One synchronous round: a single fused sweep that steps every node
-  /// into the back buffer and records accounting on the fresh states,
-  /// then swaps the buffers. With a thread pool attached, the sweep is
-  /// sharded (see the class comment); the result is bit-identical.
-  ///
-  /// Zero-copy protocols get an extra gear: once a round has completed and
-  /// no external register access happened since (states()/state() calls,
-  /// async units), the back buffer provably holds each node's round-(t-1)
-  /// register, and the sweep dispatches step_into_coherent so protocols
-  /// can skip re-writing step-invariant state entirely. The first round,
-  /// and the first round after any external mutation, fall back to the
-  /// unconditional step_into rewrite. Results are bit-identical across
-  /// all three paths. A protocol that declares its clock (next_wake)
-  /// takes the sparse path instead (class comment).
+  /// One synchronous round: a single fused sweep that seeds each node's
+  /// back-buffer slot from its round-t register, runs the in-place `step`
+  /// there and records accounting on the fresh state, then swaps the
+  /// buffers. With a thread pool attached, the sweep is sharded (see the
+  /// class comment); the result is bit-identical. A protocol that
+  /// declares its clock (next_wake) takes the sparse path instead (class
+  /// comment).
   SSMST_HOT_PATH void sync_round() {
     watchdog_poll();
     if (sparse_sync_) {
@@ -496,7 +470,6 @@ class Simulation {
     }
     const NodeId n = g_->n();
     const std::uint64_t stamp = stats_.time + 1;
-    const bool coherent = back_coherent_;
     if (shard_starts_.size() > 2) {
       const auto shards =
           static_cast<std::uint32_t>(shard_starts_.size() - 1);
@@ -506,11 +479,9 @@ class Simulation {
       // accumulator vector above is at capacity (shard count is fixed per
       // pool attach).
       sweep_stamp_ = stamp;
-      sweep_coherent_ = coherent;
       pool_->run(shards, [this](std::uint32_t s) {
         SweepAcc acc;
-        sweep_range(shard_starts_[s], shard_starts_[s + 1], sweep_stamp_,
-                    sweep_coherent_, acc);
+        sweep_range(shard_starts_[s], shard_starts_[s + 1], sweep_stamp_, acc);
         shard_accs_[s] = acc;
       });
       // Deterministic reduction: fold the shard deltas in shard order.
@@ -519,11 +490,10 @@ class Simulation {
       for (const SweepAcc& acc : shard_accs_) fold(acc, stamp);
     } else {
       SweepAcc acc;
-      sweep_range(0, n, stamp, coherent, acc);
+      sweep_range(0, n, stamp, acc);
       fold(acc, stamp);
     }
     regs_.swap(scratch_);
-    set_coherence(true);
     // A lock-step round rewrote the whole register file; the async queue
     // cannot know what changed, so the next unit re-seeds every node.
     enable_all_pending_ = true;
@@ -534,16 +504,12 @@ class Simulation {
 
   /// One asynchronous time unit: drains the enabled set (the nodes whose
   /// closed neighbourhood changed since their last activation) in daemon
-  /// order, in place. The demoted back-buffer coherence is re-established
-  /// by the first subsequent sync_round (its full step_into sweep rewrites
-  /// the back buffer; no reseed needed — pinned by test_alloc_free.cpp).
+  /// order, in place.
   SSMST_HOT_PATH void async_unit(Rng& rng,
                                  DaemonOrder order = DaemonOrder::kRandom) {
     watchdog_poll();
     const std::uint64_t stamp = stats_.time;
     if (full_sweep_) {
-      // In-place activations leave the back buffer behind the front one.
-      set_coherence(false);
       // Legacy daemon: every node activated exactly once per unit; each
       // node's post-activation state survives to the end of the unit, so
       // accounting is batched into one pass stamped with the unit's time.
@@ -561,10 +527,6 @@ class Simulation {
       // Queue-driven daemon: claim the pending queue (nodes enabled before
       // this unit; nodes enabled mid-unit run next unit — weak fairness).
       take_enabled();
-      // A quiescent unit activates nothing and writes no register, so the
-      // back buffer provably keeps its coherence; only a non-empty drain
-      // mutates the front buffer in place and demotes it.
-      if (!drain_.empty()) set_coherence(false);
       discipline(order, rng);
       // Both paths are bit-identical (the sharded-drain contract in the
       // class comment); the switch is purely an execution strategy.
@@ -692,16 +654,15 @@ class Simulation {
   // ---- Total-state fault surface (class comment; sim/faults.hpp wraps
   // these into deterministic seeded injectors). These methods MODEL
   // CORRUPTION of the engine's own auxiliary state: they deliberately
-  // bypass the bookkeeping that keeps the activation queue, staleness
-  // stamps and coherence gate sound, so the schedule may silently go
-  // wrong afterwards — which is the point. Never call them outside fault
-  // experiments. ----
+  // bypass the bookkeeping that keeps the activation queue and staleness
+  // stamps sound, so the schedule may silently go wrong afterwards — which
+  // is the point. Never call them outside fault experiments. ----
 
   /// Silent register access: returns the mutable register WITHOUT the
-  /// coherence demotion and queue enabling that states()/state(v) perform
-  /// — a write through this reference is invisible to the event-driven
-  /// engine, exactly like a transient fault striking memory between
-  /// activations while the bookkeeping bits were also corrupted.
+  /// queue enabling that states()/state(v) perform — a write through this
+  /// reference is invisible to the event-driven engine, exactly like a
+  /// transient fault striking memory between activations while the
+  /// bookkeeping bits were also corrupted.
   State& aux_corrupt_register(NodeId v) { return regs_[v]; }
   /// Flips v's dirty bit without touching any queue (either direction
   /// breaks the queue <-> bitmap invariant; audit() reports it).
@@ -754,12 +715,6 @@ class Simulation {
   /// kAdversarial discipline treat v as maximally fresh).
   void aux_skew_stamp(NodeId v, std::uint32_t stamp) { last_step_[v] = stamp; }
   std::uint32_t aux_stamp(NodeId v) const { return last_step_[v]; }
-  /// Flips the back-buffer coherence flag (primary only — the shadow copy
-  /// stays, which is what audit() checks it against). The false->true
-  /// direction is the dangerous one: it would let the next sync round take
-  /// the zero-copy path over a back buffer that does not hold the previous
-  /// round.
-  void aux_flip_coherence_flag() { back_coherent_ = !back_coherent_; }
 
   /// Snapshot of the currently pending nodes (ascending): the queued set,
   /// or all n under a pending blanket re-enable. Diagnostic/experiment
@@ -1344,48 +1299,23 @@ class Simulation {
       regs_[v] = scratch_[v];
       mark_dirty(v);
     }
-    // The back buffer now holds only the stepped nodes' registers.
-    set_coherence(false);
     stats_.time = stamp;
     ++stats_.rounds;
     stats_.activations += g_->n();
   }
 
   /// Steps nodes [lo, hi) of the current round into the back buffer and
-  /// accumulates their accounting into `acc`. Reads only the front buffer
-  /// (plus the disjoint alarm_time_ slots of its own range), so disjoint
-  /// ranges may sweep concurrently.
-  void sweep_range(NodeId lo, NodeId hi, std::uint64_t stamp, bool coherent,
-                   SweepAcc& acc) {
-    if (rewrites_register_) {
-      if (coherent) {
-        // Coherent zero-copy path: the back buffer holds each node's own
-        // round-(t-1) register, so the protocol may reuse step-invariant
-        // fields in place instead of rewriting them.
-        for (NodeId v = lo; v < hi; ++v) {
-          NeighborReader<State> nbr(*g_, regs_, v);
-          proto_->step_into_coherent(v, regs_[v], scratch_[v], nbr,
-                                     stats_.time);
-          record_state(v, scratch_[v], stamp, acc);
-        }
-      } else {
-        // Zero-copy path: the protocol fully rewrites the back buffer.
-        for (NodeId v = lo; v < hi; ++v) {
-          NeighborReader<State> nbr(*g_, regs_, v);
-          proto_->step_into(v, regs_[v], scratch_[v], nbr, stats_.time);
-          record_state(v, scratch_[v], stamp, acc);
-        }
-      }
-    } else {
-      // Seeded path: one per-node seed copy into the back buffer, then
-      // the in-place step — still a single fused sweep and a single
-      // virtual dispatch per activation, with no bulk register-file copy.
-      for (NodeId v = lo; v < hi; ++v) {
-        scratch_[v] = regs_[v];
-        NeighborReader<State> nbr(*g_, regs_, v);
-        proto_->step(v, scratch_[v], nbr, stats_.time);
-        record_state(v, scratch_[v], stamp, acc);
-      }
+  /// accumulates their accounting into `acc`: one per-node seed copy, then
+  /// the in-place step — a single virtual dispatch per activation, with no
+  /// bulk register-file copy. Reads only the front buffer (plus the
+  /// disjoint alarm_time_ slots of its own range), so disjoint ranges may
+  /// sweep concurrently.
+  void sweep_range(NodeId lo, NodeId hi, std::uint64_t stamp, SweepAcc& acc) {
+    for (NodeId v = lo; v < hi; ++v) {
+      scratch_[v] = regs_[v];
+      NeighborReader<State> nbr(*g_, regs_, v);
+      proto_->step(v, scratch_[v], nbr, stats_.time);
+      record_state(v, scratch_[v], stamp, acc);
     }
   }
 
@@ -1440,16 +1370,8 @@ class Simulation {
     }
   }
 
-  /// The one legitimate way to move the coherence flag: primary and
-  /// shadow in lockstep (the audit detects a corrupted primary by the
-  /// divergence; see the total-state fault model in the class comment).
-  void set_coherence(bool c) {
-    back_coherent_ = c;
-    coherence_shadow_ = c;
-  }
-
   /// The audit sweep behind audit()/audit_into (class comment: queue <->
-  /// bitmap, shard partition, stamp, register and coherence invariants).
+  /// bitmap, shard partition, stamp and register invariants).
   /// Scratch is the lazily sized audit_seen_ member; the caller's report
   /// is the only allocation.
   __attribute__((noinline)) void run_audit(AuditReport& r) {
@@ -1518,7 +1440,6 @@ class Simulation {
         full_drain_stamp_ > now32) {
       ++r.stamp_violations;
     }
-    if (back_coherent_ != coherence_shadow_) ++r.coherence_violations;
   }
 
   /// Watchdog budget gate: one predictable branch per round/unit when
@@ -1546,37 +1467,22 @@ class Simulation {
     }
     // Round-0 reseed: every node re-enabled, queue bookkeeping rebuilt
     // from scratch (a dangling dirty bit or stray entry would survive a
-    // bare blanket re-enable), staleness history erased, coherence demoted
-    // (both copies — the repair also resynchronizes a flipped flag to the
-    // safe side).
+    // bare blanket re-enable), staleness history erased.
     enable_all_pending_ = true;
     std::fill(enabled_.begin(), enabled_.end(), 0);
     queue_.clear();
     for (auto& q : queues_) q.clear();
     std::fill(last_step_.begin(), last_step_.end(), kNever32);
     full_drain_stamp_ = kNever32;
-    set_coherence(false);
     ++stats_.repairs;
     watchdog_window_start_ = stats_.time;
   }
 
   const WeightedGraph* g_;
   Protocol<State>* proto_;
-  bool rewrites_register_ = false;
   /// The protocol declares its clock (Protocol::next_wake): sync_round
   /// takes the sparse path. Fixed at construction.
   bool sparse_sync_ = false;
-  /// True while the back buffer provably holds each node's previous-round
-  /// register: set after every completed sync round, cleared by any
-  /// non-const register access, by async units that activate at least one
-  /// node (a quiescent drain writes nothing), and at construction (the
-  /// back buffer starts value-initialized). Gates step_into_coherent.
-  /// Written ONLY through set_coherence (keeps the shadow in lockstep) —
-  /// except by aux_flip_coherence_flag, which models corrupting it.
-  bool back_coherent_ = false;
-  /// Redundant copy of back_coherent_ maintained by set_coherence; the
-  /// audit reports any divergence (total-state fault model).
-  bool coherence_shadow_ = false;
   /// Opaque ownership token from Protocol::adopt_register_file — the
   /// per-simulation arena behind stripe-view registers. Declared before
   /// the register vectors so it is destroyed after them.
@@ -1612,7 +1518,6 @@ class Simulation {
   std::vector<NodeId> shard_starts_;    ///< shards + 1 boundaries, or empty
   std::vector<SweepAcc> shard_accs_;    ///< per-shard deltas of one round
   std::uint64_t sweep_stamp_ = 0;       ///< round context for the shard task
-  bool sweep_coherent_ = false;         ///< (written before pool_->run)
 
   // Parallel async drain (see the sharded-drain contract). Tuning
   // thresholds only pick the execution strategy — results are identical
